@@ -1,7 +1,7 @@
 //! Binary wire codec for [`FlMsg`].
 //!
-//! The simulator and the in-process thread transport move messages as Rust
-//! values; a real network deployment needs bytes. This module defines the
+//! The simulator moves messages as Rust values; a real network deployment
+//! needs bytes. This module defines the
 //! canonical little-endian framing for every protocol message. The encoded
 //! size matches [`spyker_simnet::WireSize::wire_size`] closely (within the
 //! fixed per-message header), so the bandwidth numbers measured in the

@@ -21,7 +21,7 @@
 //!   used as an ablation in the paper.
 //!
 //! Actors implement [`spyker_simnet::Node`] and therefore run both under the
-//! deterministic simulator and under the thread transport.
+//! deterministic simulator and over the TCP transport.
 //!
 //! # Example
 //!

@@ -95,8 +95,8 @@ impl<M> Ord for Event<M> {
 pub enum SchedulerKind {
     /// `BinaryHeap<Event>` — `O(log n)` push/pop reference implementation.
     Heap,
-    /// Hierarchical timer wheel — amortized `O(1)` push/pop (see
-    /// [`crate::wheel`]).
+    /// Hierarchical timer wheel — amortized `O(1)` push/pop (see the
+    /// private `wheel` module).
     Wheel,
 }
 

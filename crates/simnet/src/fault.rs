@@ -224,10 +224,8 @@ impl FaultPlan {
     }
 
     /// `true` when any probabilistic or scripted message-drop rule exists
-    /// (crash-only plans skip the per-send checks entirely). Public so
-    /// other executors of the same actors (the thread cluster in
-    /// `spyker-transport`) can interpret the same plan.
-    pub fn has_message_faults(&self) -> bool {
+    /// (crash-only plans skip the per-send checks entirely).
+    pub(crate) fn has_message_faults(&self) -> bool {
         self.loss_prob > 0.0
             || !self.link_loss.is_empty()
             || !self.drops.is_empty()
@@ -353,7 +351,7 @@ impl FaultPlan {
 
     /// The attack mounted by `node`, if it is Byzantine (the last matching
     /// entry wins, mirroring [`FaultPlan::loss_for`]).
-    pub fn attack_for(&self, node: NodeId) -> Option<&ByzantineAttack> {
+    pub(crate) fn attack_for(&self, node: NodeId) -> Option<&ByzantineAttack> {
         self.byzantine
             .iter()
             .rev()
@@ -363,7 +361,7 @@ impl FaultPlan {
 
     /// The effective loss probability for a `from -> to` send: the last
     /// matching per-link override, else the global probability.
-    pub fn loss_for(&self, from: NodeId, to: NodeId) -> f64 {
+    pub(crate) fn loss_for(&self, from: NodeId, to: NodeId) -> f64 {
         self.link_loss
             .iter()
             .rev()
@@ -372,14 +370,14 @@ impl FaultPlan {
     }
 
     /// `true` if some partition window cuts `ra <-> rb` at time `at`.
-    pub fn partitioned(&self, ra: Region, rb: Region, at: SimTime) -> bool {
+    pub(crate) fn partitioned(&self, ra: Region, rb: Region, at: SimTime) -> bool {
         self.partitions.iter().any(|p| {
             ((p.a == ra && p.b == rb) || (p.a == rb && p.b == ra)) && at >= p.start && at < p.end
         })
     }
 
     /// `true` if the connection between nodes `x` and `y` is down at `at`.
-    pub fn conn_down(&self, x: NodeId, y: NodeId, at: SimTime) -> bool {
+    pub(crate) fn conn_down(&self, x: NodeId, y: NodeId, at: SimTime) -> bool {
         self.conns.iter().any(|c| {
             ((c.a == x && c.b == y) || (c.a == y && c.b == x)) && at >= c.start && at < c.end
         })

@@ -10,7 +10,7 @@ use spyker_obs::{Histogram, MetricId, Registry, SpanStore};
 
 use crate::time::SimTime;
 
-/// Metrics sink shared by the simulator and the thread transport.
+/// Metrics sink shared by the simulator and the TCP transport.
 ///
 /// Four kinds of metrics are supported: monotonically-increasing counters
 /// (bytes sent, updates processed), last-write-wins gauges (current token
@@ -179,8 +179,8 @@ impl Metrics {
 
     /// Merges another collector into this one (counters add, series sort
     /// in at their timestamps, histograms and spans merge). Used by the
-    /// thread transport where several worker threads flush local
-    /// collectors.
+    /// TCP transport, where connection threads flush a collector into the
+    /// node's at shutdown.
     pub fn merge(&mut self, other: &Metrics) {
         self.registry.merge(&other.registry);
     }

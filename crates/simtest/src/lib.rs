@@ -5,7 +5,7 @@
 //! protocol knobs, fault schedule), the scenario runs through the
 //! deterministic simulator while a suite of [`oracle::Oracle`]s checks
 //! protocol invariants at every event, and a failing scenario is
-//! automatically [shrunk](shrink) to a minimal reproducer and written out
+//! automatically [shrunk](fn@shrink) to a minimal reproducer and written out
 //! as a self-contained `repro_<seed>.ron`.
 //!
 //! The pipeline, end to end:

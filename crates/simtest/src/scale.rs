@@ -2,7 +2,7 @@
 //! suite.
 //!
 //! A scale run represents its client population with
-//! [`CohortClient`](spyker_core::cohort::CohortClient) actors: every
+//! [`CohortClient`] actors: every
 //! cohort is one protocol actor standing for `cohort_size` homogeneous
 //! clients (same trainer shape, same epochs, no scripted faults — exactly
 //! the profile of a scalability sweep's population). 100k logical clients

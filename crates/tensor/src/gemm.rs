@@ -1,7 +1,7 @@
 //! Cache-blocked, register-tiled GEMM — the compute core of the crate.
 //!
 //! All three matrix products the model zoo needs (`A·B`, `Aᵀ·B`, `A·Bᵀ`)
-//! funnel into one kernel, [`gemm_into`], parameterised by strided operand
+//! funnel into one kernel, `gemm_into`, parameterised by strided operand
 //! views so no transpose is ever materialised. The kernel follows the
 //! classic GotoBLAS/BLIS decomposition:
 //!

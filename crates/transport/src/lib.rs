@@ -1,820 +1,18 @@
-//! Multi-threaded in-process deployment of the protocol actors.
+//! Real-time deployment of the protocol actors over TCP.
 //!
 //! The simulator in `spyker-simnet` executes actors deterministically in
-//! virtual time; this crate executes the *same* [`Node`] actors on real
-//! threads with real concurrency, one thread per node, connected by
-//! crossbeam channels. Latency and bandwidth are emulated by stamping each
-//! message with a delivery deadline derived from the same
-//! [`NetworkConfig`] (optionally time-scaled so a 150 ms virtual delay
-//! costs only a few real milliseconds).
+//! virtual time; this crate executes the *same* [`Node`] actors in real
+//! time, one node per OS process, exchanging canonical `spyker-core` codec
+//! frames over sockets. See [`tcp`] for the runtime and `DESIGN.md` §13
+//! for its robustness model.
 //!
-//! Links are FIFO: each sender keeps a per-destination "link free" clock
-//! and never lets a later message overtake an earlier one, matching the
-//! FIFO assumption of the paper's token protocol (§4.2).
+//! Emulated geo latency and message faults are virtual-time concerns and
+//! live in the simulator; a deployment sees whatever latency and faults its
+//! real network has.
 //!
-//! This serves two purposes: it demonstrates the protocol is runnable
-//! outside the simulator (no tokio required — threads + channels cover the
-//! paper's needs), and it gives the test suite a true-concurrency shakeout
-//! of the actor code.
-//!
-//! # Example
-//!
-//! ```
-//! use spyker_simnet::net::{NetworkConfig, Region};
-//! use spyker_simnet::runtime::{Env, Node, NodeId, WireSize};
-//! use spyker_simnet::SimTime;
-//! use spyker_transport::{ClusterConfig, ThreadCluster};
-//! use std::any::Any;
-//! use std::time::Duration;
-//!
-//! #[derive(Debug, Clone)]
-//! struct Ping;
-//! impl WireSize for Ping {
-//!     fn wire_size(&self) -> usize { 1 }
-//! }
-//! struct Counter(u32);
-//! impl Node<Ping> for Counter {
-//!     fn on_start(&mut self, env: &mut dyn Env<Ping>) {
-//!         if env.me() == 0 { env.send(1, Ping); }
-//!     }
-//!     fn on_message(&mut self, env: &mut dyn Env<Ping>, from: NodeId, _msg: Ping) {
-//!         self.0 += 1;
-//!         if self.0 < 10 { env.send(from, Ping); }
-//!     }
-//!     fn as_any(&self) -> &dyn Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn Any { self }
-//! }
-//!
-//! let mut cluster = ThreadCluster::new(ClusterConfig {
-//!     net: NetworkConfig::uniform_all(SimTime::from_millis(1)),
-//!     time_scale: 1.0,
-//! });
-//! cluster.add_node(Box::new(Counter(0)), Region::Paris);
-//! cluster.add_node(Box::new(Counter(0)), Region::Sydney);
-//! let report = cluster.run_for(Duration::from_millis(200));
-//! let total: u32 = report.nodes.iter()
-//!     .map(|n| n.as_any().downcast_ref::<Counter>().unwrap().0)
-//!     .sum();
-//! assert_eq!(total, 19);
-//! ```
+//! [`Node`]: spyker_simnet::runtime::Node
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod tcp;
-
-use std::collections::{BinaryHeap, HashMap};
-use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use spyker_simnet::fault::FaultPlan;
-use spyker_simnet::metrics::Metrics;
-use spyker_simnet::net::{NetworkConfig, Region};
-use spyker_simnet::runtime::{Env, Node, NodeId, WireSize};
-use spyker_simnet::time::SimTime;
-
-/// Configuration of a thread cluster.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Latency/bandwidth model (shared with the simulator).
-    pub net: NetworkConfig,
-    /// Real seconds per virtual second. `1.0` runs latencies at face value;
-    /// `0.01` runs the deployment 100x faster than the virtual clock.
-    pub time_scale: f64,
-}
-
-enum Inbound<M> {
-    Deliver {
-        from: NodeId,
-        msg: M,
-        deliver_at: Instant,
-    },
-    Stop,
-}
-
-struct TimerEntry {
-    at: Instant,
-    tag: u64,
-    seq: u64,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on (at, seq).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-struct ThreadEnv<M> {
-    me: NodeId,
-    start: Instant,
-    senders: Vec<Sender<Inbound<M>>>,
-    regions: Vec<Region>,
-    net: NetworkConfig,
-    time_scale: f64,
-    link_free: HashMap<NodeId, Instant>,
-    timers: Vec<(Duration, u64)>,
-    metrics: Metrics,
-    faults: FaultPlan,
-    fault_rng: u64,
-    link_sends: HashMap<NodeId, u64>,
-}
-
-impl<M> ThreadEnv<M> {
-    fn scaled(&self, t: SimTime) -> Duration {
-        Duration::from_secs_f64(t.as_secs_f64() * self.time_scale)
-    }
-
-    /// Applies the message-drop rules of the fault plan to a send from
-    /// `self.me` to `to` at virtual time `at`, mirroring the simulator's
-    /// check order (scripted, partition, probabilistic). Returns the drop
-    /// cause, or `None` when the message goes through.
-    fn fault_drop_cause(&mut self, at: SimTime, to: NodeId) -> Option<&'static str> {
-        use spyker_simnet::fault::ScriptedDrop;
-        let from = self.me;
-        let mut scripted = false;
-        let mut needs_counter = false;
-        for d in &self.faults.drops {
-            match *d {
-                ScriptedDrop::NthOnLink {
-                    from: f,
-                    to: t,
-                    nth,
-                } if f == from && t == to => {
-                    needs_counter = true;
-                    if *self.link_sends.get(&to).unwrap_or(&0) == nth {
-                        scripted = true;
-                    }
-                }
-                ScriptedDrop::LinkWindow {
-                    from: f,
-                    to: t,
-                    start,
-                    end,
-                } if f == from && t == to && at >= start && at < end => {
-                    scripted = true;
-                }
-                _ => {}
-            }
-        }
-        if needs_counter {
-            *self.link_sends.entry(to).or_insert(0) += 1;
-        }
-        if scripted {
-            return Some("scripted");
-        }
-        if self.faults.conn_down(from, to, at) {
-            return Some("conn");
-        }
-        if self
-            .faults
-            .partitioned(self.regions[from], self.regions[to], at)
-        {
-            return Some("partition");
-        }
-        let p = self.faults.loss_for(from, to);
-        if p > 0.0 && splitmix_unit(&mut self.fault_rng) < p {
-            return Some("loss");
-        }
-        None
-    }
-}
-
-/// One uniform draw in `[0, 1)` advancing a splitmix64 stream:
-/// self-contained, no RNG dependency. The thread cluster is wall-clock
-/// driven and thus not bit-reproducible anyway, so stream quality matters
-/// more than replay.
-pub(crate) fn splitmix_unit(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-impl<M: WireSize> Env<M> for ThreadEnv<M> {
-    fn now(&self) -> SimTime {
-        let real = self.start.elapsed().as_secs_f64();
-        SimTime::from_millis_f64(real * 1_000.0 / self.time_scale)
-    }
-
-    fn me(&self) -> NodeId {
-        self.me
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.senders.len()
-    }
-
-    fn send(&mut self, to: NodeId, mut msg: M) {
-        // A Byzantine sender corrupts its payload in flight, mirroring the
-        // simulator: the actor code stays honest, the wire lies.
-        if !self.faults.byzantine.is_empty() {
-            if let Some(attack) = self.faults.attack_for(self.me).cloned() {
-                let rng = &mut self.fault_rng;
-                if msg.corrupt(&attack, &mut || splitmix_unit(rng)) {
-                    self.metrics.add_counter("fault.byzantine", 1);
-                    self.metrics
-                        .add_counter_suffixed("fault.byzantine.", attack.label(), 1);
-                }
-            }
-        }
-        let bytes = msg.wire_size();
-        self.metrics.add_counter("net.bytes", bytes as u64);
-        self.metrics
-            .add_counter_suffixed("net.bytes.", msg.kind(), bytes as u64);
-        self.metrics.add_counter("net.messages", 1);
-        // The message is on the wire; faults may now eat it (same counter
-        // semantics as the simulator: sent bytes are counted, delivery is
-        // what gets lost).
-        if self.faults.has_message_faults() {
-            let at = self.now();
-            if let Some(cause) = self.fault_drop_cause(at, to) {
-                self.metrics.add_counter("fault.dropped", 1);
-                self.metrics
-                    .add_counter_suffixed("fault.dropped.", cause, 1);
-                return;
-            }
-        }
-        let delay = self.scaled(
-            self.net.latency(self.regions[self.me], self.regions[to])
-                + self.net.serialization_delay(bytes),
-        );
-        let now = Instant::now();
-        let free = self.link_free.entry(to).or_insert(now);
-        let deliver_at = (now + delay).max(*free);
-        *free = deliver_at;
-        // A send can only fail after Stop, when the receiver is gone.
-        let _ = self.senders[to].send(Inbound::Deliver {
-            from: self.me,
-            msg,
-            deliver_at,
-        });
-    }
-
-    fn set_timer(&mut self, delay: SimTime, tag: u64) {
-        let real = self.scaled(delay);
-        self.timers.push((real, tag));
-    }
-
-    fn busy(&mut self, duration: SimTime) {
-        std::thread::sleep(self.scaled(duration));
-    }
-
-    fn record(&mut self, series: &str, value: f64) {
-        let now = self.now();
-        self.metrics.record(series, now, value);
-    }
-
-    fn add_counter(&mut self, name: &str, delta: u64) {
-        self.metrics.add_counter(name, delta);
-    }
-
-    fn add_counter_suffixed(&mut self, prefix: &str, suffix: &str, delta: u64) {
-        self.metrics.add_counter_suffixed(prefix, suffix, delta);
-    }
-
-    fn observe(&mut self, name: &str, value: f64) {
-        self.metrics.observe(name, value);
-    }
-
-    fn gauge_set(&mut self, name: &str, value: f64) {
-        self.metrics.gauge_set(name, value);
-    }
-
-    /// Own-node gauges only: each node thread keeps private metrics until
-    /// the final merge, so an autoscaler on this transport sees just what
-    /// the local node published.
-    fn gauge(&self, name: &str) -> Option<f64> {
-        self.metrics.gauge(name)
-    }
-
-    fn span_enter(&mut self, name: &'static str) {
-        let now = self.now();
-        self.metrics.span_enter(self.me as u32, name, now);
-    }
-
-    fn span_exit(&mut self, name: &'static str) {
-        let now = self.now();
-        self.metrics.span_exit(self.me as u32, name, now);
-    }
-}
-
-/// Result of a completed cluster run.
-pub struct ClusterReport<M> {
-    /// The final node states, in id order.
-    pub nodes: Vec<Box<dyn Node<M>>>,
-    /// Merged metrics from every node thread.
-    pub metrics: Metrics,
-}
-
-/// An in-process cluster running one thread per node.
-pub struct ThreadCluster<M> {
-    cfg: ClusterConfig,
-    nodes: Vec<Box<dyn Node<M>>>,
-    regions: Vec<Region>,
-    faults: FaultPlan,
-    fault_seed: u64,
-}
-
-impl<M: WireSize + Send + 'static> ThreadCluster<M> {
-    /// Creates an empty cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time_scale` is not positive and finite.
-    pub fn new(cfg: ClusterConfig) -> Self {
-        assert!(
-            cfg.time_scale.is_finite() && cfg.time_scale > 0.0,
-            "time_scale must be positive"
-        );
-        Self {
-            cfg,
-            nodes: Vec::new(),
-            regions: Vec::new(),
-            faults: FaultPlan::none(),
-            fault_seed: 0,
-        }
-    }
-
-    /// Injects the *message* faults of `plan` into every send: scripted
-    /// drops, partitions, probabilistic loss and Byzantine payload
-    /// corruption, with the same check order and `fault.dropped.*` /
-    /// `fault.byzantine.*` counters as the simulator.
-    ///
-    /// Crash/restart entries are ignored — stopping and resuming node
-    /// *threads* is a different mechanism from discarding events in a
-    /// virtual-time queue, and the thread cluster does not emulate it.
-    /// `seed` feeds the probabilistic-loss generator (per-node streams);
-    /// unlike the simulator the cluster is wall-clock driven, so seeding
-    /// buys stable loss *rates*, not bit-identical replays.
-    pub fn with_faults(mut self, plan: FaultPlan, seed: u64) -> Self {
-        self.faults = plan;
-        self.fault_seed = seed;
-        self
-    }
-
-    /// Adds a node in `region`, returning its id.
-    pub fn add_node(&mut self, node: Box<dyn Node<M>>, region: Region) -> NodeId {
-        self.nodes.push(node);
-        self.regions.push(region);
-        self.nodes.len() - 1
-    }
-
-    /// Number of nodes added so far.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Runs the cluster for `real_duration` of wall-clock time, then stops
-    /// every node and returns the final states and merged metrics.
-    ///
-    /// In-flight messages at the deadline are dropped (the run is a
-    /// measurement window, like the paper's fixed-duration experiments).
-    pub fn run_for(self, real_duration: Duration) -> ClusterReport<M> {
-        let n = self.nodes.len();
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<Inbound<M>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let start = Instant::now();
-        let mut handles = Vec::with_capacity(n);
-        for (id, (node, rx)) in self.nodes.into_iter().zip(receivers).enumerate() {
-            let env = ThreadEnv {
-                me: id,
-                start,
-                senders: senders.clone(),
-                regions: self.regions.clone(),
-                net: self.cfg.net.clone(),
-                time_scale: self.cfg.time_scale,
-                link_free: HashMap::new(),
-                timers: Vec::new(),
-                metrics: Metrics::new(),
-                faults: self.faults.clone(),
-                fault_rng: self
-                    .fault_seed
-                    .wrapping_add((id as u64).wrapping_mul(0xA076_1D64_78BD_642F)),
-                link_sends: HashMap::new(),
-            };
-            handles.push(std::thread::spawn(move || node_loop(node, env, rx)));
-        }
-        std::thread::sleep(real_duration);
-        for tx in &senders {
-            let _ = tx.send(Inbound::Stop);
-        }
-        let mut nodes = Vec::with_capacity(n);
-        let mut metrics = Metrics::new();
-        for handle in handles {
-            let (node, local) = handle.join().expect("node thread panicked");
-            metrics.merge(&local);
-            nodes.push(node);
-        }
-        ClusterReport { nodes, metrics }
-    }
-}
-
-/// The per-node event loop: merges channel deliveries and local timers,
-/// dispatching each at (or after) its deadline.
-fn node_loop<M: WireSize>(
-    mut node: Box<dyn Node<M>>,
-    mut env: ThreadEnv<M>,
-    rx: Receiver<Inbound<M>>,
-) -> (Box<dyn Node<M>>, Metrics) {
-    node.on_start(&mut env);
-    let mut timer_heap: BinaryHeap<TimerEntry> = BinaryHeap::new();
-    let mut pending: BinaryHeap<PendingMsg<M>> = BinaryHeap::new();
-    let mut timer_seq = 0u64;
-    let drain_new_timers =
-        |env: &mut ThreadEnv<M>, heap: &mut BinaryHeap<TimerEntry>, seq: &mut u64| {
-            for (delay, tag) in env.timers.drain(..) {
-                heap.push(TimerEntry {
-                    at: Instant::now() + delay,
-                    tag,
-                    seq: *seq,
-                });
-                *seq += 1;
-            }
-        };
-    drain_new_timers(&mut env, &mut timer_heap, &mut timer_seq);
-    loop {
-        // Dispatch everything already due.
-        let now = Instant::now();
-        let mut dispatched = false;
-        if let Some(t) = timer_heap.peek() {
-            if t.at <= now {
-                let t = timer_heap.pop().expect("peeked");
-                node.on_timer(&mut env, t.tag);
-                drain_new_timers(&mut env, &mut timer_heap, &mut timer_seq);
-                dispatched = true;
-            }
-        }
-        if !dispatched {
-            if let Some(p) = pending.peek() {
-                if p.deliver_at <= now {
-                    let p = pending.pop().expect("peeked");
-                    node.on_message(&mut env, p.from, p.msg);
-                    drain_new_timers(&mut env, &mut timer_heap, &mut timer_seq);
-                    dispatched = true;
-                }
-            }
-        }
-        if dispatched {
-            continue;
-        }
-        // Sleep until the earliest deadline or the next channel arrival.
-        let next_deadline = match (timer_heap.peek(), pending.peek()) {
-            (Some(t), Some(p)) => Some(t.at.min(p.deliver_at)),
-            (Some(t), None) => Some(t.at),
-            (None, Some(p)) => Some(p.deliver_at),
-            (None, None) => None,
-        };
-        let inbound = match next_deadline {
-            Some(deadline) => {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(timeout) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            None => match rx.recv() {
-                Ok(m) => Some(m),
-                Err(_) => break,
-            },
-        };
-        match inbound {
-            Some(Inbound::Deliver {
-                from,
-                msg,
-                deliver_at,
-            }) => {
-                pending.push(PendingMsg {
-                    from,
-                    msg,
-                    deliver_at,
-                    seq: timer_seq,
-                });
-                timer_seq += 1;
-            }
-            Some(Inbound::Stop) | None => break,
-        }
-    }
-    (node, env.metrics)
-}
-
-struct PendingMsg<M> {
-    from: NodeId,
-    msg: M,
-    deliver_at: Instant,
-    seq: u64,
-}
-
-impl<M> PartialEq for PendingMsg<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<M> Eq for PendingMsg<M> {}
-impl<M> PartialOrd for PendingMsg<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for PendingMsg<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on (deliver_at, seq).
-        (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::any::Any;
-
-    #[derive(Debug, Clone)]
-    struct Blob(usize);
-    impl WireSize for Blob {
-        fn wire_size(&self) -> usize {
-            self.0
-        }
-    }
-
-    struct Sink {
-        got: Vec<NodeId>,
-    }
-    impl Node<Blob> for Sink {
-        fn on_start(&mut self, _env: &mut dyn Env<Blob>) {}
-        fn on_message(&mut self, _env: &mut dyn Env<Blob>, from: NodeId, _msg: Blob) {
-            self.got.push(from);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    struct Spammer {
-        to: NodeId,
-        count: usize,
-    }
-    impl Node<Blob> for Spammer {
-        fn on_start(&mut self, env: &mut dyn Env<Blob>) {
-            for _ in 0..self.count {
-                env.send(self.to, Blob(8));
-            }
-        }
-        fn on_message(&mut self, _env: &mut dyn Env<Blob>, _from: NodeId, _msg: Blob) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    fn quick_cfg() -> ClusterConfig {
-        ClusterConfig {
-            net: NetworkConfig::uniform_all(SimTime::from_millis(5)),
-            time_scale: 0.2,
-        }
-    }
-
-    #[test]
-    fn messages_are_delivered_and_counted() {
-        let mut cluster = ThreadCluster::new(quick_cfg());
-        cluster.add_node(Box::new(Spammer { to: 1, count: 25 }), Region::Paris);
-        cluster.add_node(Box::new(Sink { got: Vec::new() }), Region::Sydney);
-        let report = cluster.run_for(Duration::from_millis(300));
-        let sink = report.nodes[1].as_any().downcast_ref::<Sink>().unwrap();
-        assert_eq!(sink.got.len(), 25);
-        assert_eq!(report.metrics.counter("net.messages"), 25);
-        assert_eq!(report.metrics.counter("net.bytes"), 200);
-    }
-
-    #[test]
-    fn full_link_loss_silences_a_link_but_counts_the_drops() {
-        let mut cluster =
-            ThreadCluster::new(quick_cfg()).with_faults(FaultPlan::none().with_loss(1.0), 7);
-        cluster.add_node(Box::new(Spammer { to: 1, count: 25 }), Region::Paris);
-        cluster.add_node(Box::new(Sink { got: Vec::new() }), Region::Sydney);
-        let report = cluster.run_for(Duration::from_millis(300));
-        let sink = report.nodes[1].as_any().downcast_ref::<Sink>().unwrap();
-        assert!(sink.got.is_empty(), "messages leaked through full loss");
-        assert_eq!(report.metrics.counter("fault.dropped"), 25);
-        assert_eq!(report.metrics.counter("fault.dropped.loss"), 25);
-        // Sent traffic is still accounted: the loss is in flight.
-        assert_eq!(report.metrics.counter("net.messages"), 25);
-    }
-
-    #[test]
-    fn scripted_nth_drop_removes_exactly_one_message() {
-        let mut cluster =
-            ThreadCluster::new(quick_cfg()).with_faults(FaultPlan::none().drop_nth(0, 1, 3), 0);
-        cluster.add_node(Box::new(Spammer { to: 1, count: 25 }), Region::Paris);
-        cluster.add_node(Box::new(Sink { got: Vec::new() }), Region::Sydney);
-        let report = cluster.run_for(Duration::from_millis(300));
-        let sink = report.nodes[1].as_any().downcast_ref::<Sink>().unwrap();
-        assert_eq!(sink.got.len(), 24);
-        assert_eq!(report.metrics.counter("fault.dropped"), 1);
-        assert_eq!(report.metrics.counter("fault.dropped.scripted"), 1);
-    }
-
-    #[test]
-    fn byzantine_sender_payloads_are_corrupted_in_flight() {
-        use spyker_simnet::fault::ByzantineAttack;
-
-        #[derive(Debug, Clone)]
-        struct Val(f32);
-        impl WireSize for Val {
-            fn wire_size(&self) -> usize {
-                4
-            }
-            fn corrupt(
-                &mut self,
-                attack: &ByzantineAttack,
-                _draw: &mut dyn FnMut() -> f64,
-            ) -> bool {
-                match attack {
-                    ByzantineAttack::SignFlip => {
-                        self.0 = -self.0;
-                        true
-                    }
-                    _ => false,
-                }
-            }
-        }
-        struct ValSpammer {
-            to: NodeId,
-            count: usize,
-        }
-        impl Node<Val> for ValSpammer {
-            fn on_start(&mut self, env: &mut dyn Env<Val>) {
-                for _ in 0..self.count {
-                    env.send(self.to, Val(1.0));
-                }
-            }
-            fn on_message(&mut self, _e: &mut dyn Env<Val>, _f: NodeId, _m: Val) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        struct ValSink {
-            got: Vec<f32>,
-        }
-        impl Node<Val> for ValSink {
-            fn on_start(&mut self, _env: &mut dyn Env<Val>) {}
-            fn on_message(&mut self, _e: &mut dyn Env<Val>, _f: NodeId, m: Val) {
-                self.got.push(m.0);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut cluster = ThreadCluster::new(quick_cfg())
-            .with_faults(FaultPlan::none().byzantine(0, ByzantineAttack::SignFlip), 3);
-        cluster.add_node(Box::new(ValSpammer { to: 2, count: 10 }), Region::Paris);
-        cluster.add_node(
-            Box::new(ValSpammer { to: 2, count: 10 }),
-            Region::California,
-        );
-        cluster.add_node(Box::new(ValSink { got: Vec::new() }), Region::Sydney);
-        let report = cluster.run_for(Duration::from_millis(300));
-        let sink = report.nodes[2].as_any().downcast_ref::<ValSink>().unwrap();
-        // Node 0's sends arrive flipped, honest node 1's untouched.
-        assert_eq!(sink.got.iter().filter(|&&v| v == -1.0).count(), 10);
-        assert_eq!(sink.got.iter().filter(|&&v| v == 1.0).count(), 10);
-        assert_eq!(report.metrics.counter("fault.byzantine"), 10);
-        assert_eq!(report.metrics.counter("fault.byzantine.signflip"), 10);
-    }
-
-    #[test]
-    fn timers_fire_on_real_threads() {
-        struct TimerNode {
-            fired: u32,
-        }
-        impl Node<Blob> for TimerNode {
-            fn on_start(&mut self, env: &mut dyn Env<Blob>) {
-                env.set_timer(SimTime::from_millis(10), 1);
-            }
-            fn on_message(&mut self, _e: &mut dyn Env<Blob>, _f: NodeId, _m: Blob) {}
-            fn on_timer(&mut self, env: &mut dyn Env<Blob>, _tag: u64) {
-                self.fired += 1;
-                if self.fired < 5 {
-                    env.set_timer(SimTime::from_millis(10), 1);
-                }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut cluster = ThreadCluster::new(quick_cfg());
-        cluster.add_node(Box::new(TimerNode { fired: 0 }), Region::Paris);
-        let report = cluster.run_for(Duration::from_millis(300));
-        let node = report.nodes[0]
-            .as_any()
-            .downcast_ref::<TimerNode>()
-            .unwrap();
-        assert_eq!(node.fired, 5);
-    }
-
-    #[test]
-    fn links_preserve_sender_order() {
-        struct OrderedSender;
-        impl Node<Blob> for OrderedSender {
-            fn on_start(&mut self, env: &mut dyn Env<Blob>) {
-                // Large then small: without the FIFO clamp the small one
-                // would be delivered first.
-                env.send(1, Blob(4_000_000)); // big serialization delay
-                env.send(1, Blob(1));
-            }
-            fn on_message(&mut self, _e: &mut dyn Env<Blob>, _f: NodeId, _m: Blob) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        struct SizeSink {
-            sizes: Vec<usize>,
-        }
-        impl Node<Blob> for SizeSink {
-            fn on_start(&mut self, _env: &mut dyn Env<Blob>) {}
-            fn on_message(&mut self, _e: &mut dyn Env<Blob>, _f: NodeId, m: Blob) {
-                self.sizes.push(m.0);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut cluster = ThreadCluster::new(ClusterConfig {
-            net: NetworkConfig::uniform_all(SimTime::from_millis(1)),
-            time_scale: 0.1,
-        });
-        cluster.add_node(Box::new(OrderedSender), Region::Paris);
-        cluster.add_node(Box::new(SizeSink { sizes: Vec::new() }), Region::Sydney);
-        let report = cluster.run_for(Duration::from_millis(300));
-        let sink = report.nodes[1].as_any().downcast_ref::<SizeSink>().unwrap();
-        assert_eq!(sink.sizes, vec![4_000_000, 1], "FIFO violated");
-    }
-
-    #[test]
-    fn busy_time_is_real() {
-        struct BusyNode {
-            elapsed_ms: u128,
-        }
-        impl Node<Blob> for BusyNode {
-            fn on_start(&mut self, env: &mut dyn Env<Blob>) {
-                let t0 = Instant::now();
-                env.busy(SimTime::from_millis(100)); // scaled by 0.2 -> 20ms
-                self.elapsed_ms = t0.elapsed().as_millis();
-            }
-            fn on_message(&mut self, _e: &mut dyn Env<Blob>, _f: NodeId, _m: Blob) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut cluster = ThreadCluster::new(quick_cfg());
-        cluster.add_node(Box::new(BusyNode { elapsed_ms: 0 }), Region::Paris);
-        let report = cluster.run_for(Duration::from_millis(100));
-        let node = report.nodes[0].as_any().downcast_ref::<BusyNode>().unwrap();
-        assert!(
-            node.elapsed_ms >= 19,
-            "busy slept only {} ms",
-            node.elapsed_ms
-        );
-    }
-}

@@ -1,7 +1,6 @@
 //! Multi-process TCP deployment of the protocol actors.
 //!
-//! Where [`crate::ThreadCluster`] runs every node in one process, this
-//! module runs ONE node per OS process over real sockets, speaking the
+//! This module runs ONE node per OS process over real sockets, speaking the
 //! canonical `spyker-core::codec` frames with a 4-byte little-endian
 //! length prefix (reassembled by `codec::FrameAccumulator`). Robustness is
 //! the design center — see `DESIGN.md` §13:
@@ -30,9 +29,8 @@
 //!   (oversize length prefix) drops the connection. Decoding never
 //!   panics.
 //!
-//! Outbound frames are staged in buffers rented from a
-//! [`Scratch`](spyker_tensor::Scratch) byte pool, so steady-state sends
-//! perform no heap allocation.
+//! Outbound frames are staged in buffers rented from a [`Scratch`] byte
+//! pool, so steady-state sends perform no heap allocation.
 
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
@@ -51,14 +49,25 @@ use spyker_simnet::runtime::{Env, Node, NodeId, WireSize};
 use spyker_simnet::time::SimTime;
 use spyker_tensor::Scratch;
 
-use crate::splitmix_unit;
-
 /// Transport envelope kinds (first payload byte inside a length-prefixed
 /// frame).
 const FRAME_MSG: u8 = 0;
 const FRAME_HELLO: u8 = 1;
 const FRAME_PING: u8 = 2;
 const FRAME_PONG: u8 = 3;
+
+/// One uniform draw in `[0, 1)` advancing a splitmix64 stream:
+/// self-contained, no RNG dependency. A deployment is wall-clock driven
+/// and thus not bit-reproducible anyway, so stream quality matters more
+/// than replay.
+fn splitmix_unit(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
 
 /// Reconnect schedule: capped exponential backoff with multiplicative
 /// jitter.
@@ -416,13 +425,15 @@ fn encode_frame(frame: &OutFrame, out: &mut Vec<u8>) {
     out[..4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// The payload of a valid Hello frame, if that is what this is.
-fn parse_hello(payload: &[u8], num_nodes: usize) -> Option<NodeId> {
+/// The peer named by a valid Hello frame received by node `me`, if that
+/// is what this is. No legitimate peer dials itself, so a Hello naming
+/// `me` is as invalid as one naming a node outside the deployment.
+fn parse_hello(payload: &[u8], me: NodeId, num_nodes: usize) -> Option<NodeId> {
     if payload.len() != 5 || payload[0] != FRAME_HELLO {
         return None;
     }
     let id = u32::from_le_bytes(payload[1..5].try_into().ok()?) as usize;
-    (id < num_nodes).then_some(id)
+    (id < num_nodes && id != me).then_some(id)
 }
 
 /// Drains the per-peer queue onto the socket, heartbeating when idle.
@@ -554,7 +565,7 @@ fn handle_accepted(mut stream: TcpStream, ctx: ConnCtx) {
     let mut chunk = [0u8; 1024];
     let peer = loop {
         match acc.next_frame() {
-            Ok(Some(payload)) => match parse_hello(&payload, ctx.num_nodes) {
+            Ok(Some(payload)) => match parse_hello(&payload, ctx.me, ctx.num_nodes) {
                 Some(peer) => break peer,
                 None => {
                     ctx.net.add("net.frames.corrupt", 1);
@@ -1046,10 +1057,58 @@ mod tests {
         let mut acc = FrameAccumulator::new(1024);
         acc.feed(&buf);
         let payload = acc.next_frame().unwrap().unwrap();
-        assert_eq!(parse_hello(&payload, 8), Some(3));
-        assert_eq!(parse_hello(&payload, 3), None, "id out of range");
-        assert_eq!(parse_hello(&[FRAME_PING], 8), None);
-        assert_eq!(parse_hello(&[], 8), None);
+        assert_eq!(parse_hello(&payload, 0, 8), Some(3));
+        assert_eq!(parse_hello(&payload, 0, 3), None, "id out of range");
+        assert_eq!(parse_hello(&payload, 3, 8), None, "peer claims to be me");
+        assert_eq!(parse_hello(&[FRAME_PING], 0, 8), None);
+        assert_eq!(parse_hello(&[], 0, 8), None);
+    }
+
+    #[test]
+    fn node_loop_fires_rearmed_timers_and_busy_takes_wall_time() {
+        use std::any::Any;
+
+        struct TimerNode {
+            fired: u32,
+            busy_took: Duration,
+        }
+        impl Node<FlMsg> for TimerNode {
+            fn on_start(&mut self, env: &mut dyn Env<FlMsg>) {
+                let t0 = Instant::now();
+                env.busy(SimTime::from_millis(20));
+                self.busy_took = t0.elapsed();
+                env.set_timer(SimTime::from_millis(10), 1);
+            }
+            fn on_message(&mut self, _env: &mut dyn Env<FlMsg>, _from: NodeId, _msg: FlMsg) {}
+            fn on_timer(&mut self, env: &mut dyn Env<FlMsg>, _tag: u64) {
+                self.fired += 1;
+                if self.fired < 5 {
+                    env.set_timer(SimTime::from_millis(10), 1);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        // No listener and no peers: the node loop runs alone.
+        let mut cfg = TcpNodeConfig::new(0, 1);
+        cfg.connect_grace = Duration::ZERO;
+        let node = Box::new(TimerNode {
+            fired: 0,
+            busy_took: Duration::ZERO,
+        });
+        let report = run_node(node, &cfg, Duration::from_millis(300)).expect("no bind to fail");
+        let node = report.node.as_any().downcast_ref::<TimerNode>().unwrap();
+        assert_eq!(node.fired, 5);
+        assert!(
+            node.busy_took >= Duration::from_millis(20),
+            "busy(20 ms) took only {:?}",
+            node.busy_took
+        );
     }
 
     #[test]

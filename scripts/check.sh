@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Rustdoc gate: broken, ambiguous or private intra-doc links fail the
+# build. Covers the spyker-* packages only; the vendored crates are
+# API-compatible stubs whose docs are not ours to police.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p 'spyker-*'
+
 # Byzantine-robustness integration tests (adversarial clients vs the
 # validation gate + robust aggregation pipeline; see DESIGN.md §8).
 cargo test -q --release --test byzantine

@@ -7,7 +7,7 @@
 //! * [`spyker_baselines`] — FedAvg, FedAsync, HierFAVG
 //! * [`spyker_simnet`] — deterministic geo-distributed network simulator
 //! * [`spyker_models`] / [`spyker_tensor`] / [`spyker_data`] — training stack
-//! * [`spyker_transport`] — threaded deployment of the same actors
+//! * [`spyker_transport`] — multi-process TCP deployment of the same actors
 //! * [`spyker_experiments`] — table/figure reproduction harness
 //! * [`spyker_obs`] — typed metrics registry, tracing spans, run reports
 

@@ -113,6 +113,60 @@ fn spyker_trains_over_tcp_sockets() {
 }
 
 #[test]
+fn spyker_converges_on_real_threads() {
+    let reports = run_deployment(2, 8, 4);
+    let processed: u64 = reports[..2]
+        .iter()
+        .map(|r| r.metrics.counter("updates.processed"))
+        .sum();
+    assert!(processed > 50, "too few updates in real time: {processed}");
+    // Targets are 0..3 repeating; global mean is 1.5. Real threads are
+    // non-deterministic, so just require a sane compromise.
+    for (s, report) in reports[..2].iter().enumerate() {
+        let server = report
+            .node
+            .as_any()
+            .downcast_ref::<SpykerServer>()
+            .expect("server");
+        let v = server.params().as_slice()[0];
+        assert!(v > 0.3 && v < 2.7, "server {s} model off at {v}");
+        assert!(server.age() > 0.0);
+    }
+}
+
+#[test]
+fn live_token_is_never_duplicated() {
+    let reports = run_deployment(3, 6, 3);
+    let holders = reports[..3]
+        .iter()
+        .filter(|r| {
+            r.node
+                .as_any()
+                .downcast_ref::<SpykerServer>()
+                .expect("server")
+                .has_token()
+        })
+        .count();
+    assert!(holders <= 1, "token duplicated across {holders} servers");
+    let aggs: u64 = reports[..3]
+        .iter()
+        .map(|r| r.metrics.counter("server.aggs"))
+        .sum();
+    assert!(aggs > 0, "no exchanges happened");
+}
+
+#[test]
+fn live_metrics_track_traffic_by_kind() {
+    let reports = run_deployment(2, 4, 2);
+    let sum = |name: &str| -> u64 { reports.iter().map(|r| r.metrics.counter(name)).sum() };
+    let total = sum("net.bytes");
+    let cs = sum("net.bytes.client-server");
+    let ss = sum("net.bytes.server-server");
+    assert_eq!(total, cs + ss);
+    assert!(cs > 0);
+}
+
+#[test]
 fn malformed_frames_do_not_panic_the_server() {
     let addr = free_addr();
     let cfg = config(2, 1);
